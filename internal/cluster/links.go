@@ -307,24 +307,36 @@ func (n *Node) dialIngress(ctx context.Context, p *wire.Peer, owner string) (*wi
 const replicaBuffer = 1024
 
 // replica is a standby's copy of one room's event log.
+//
+// The tail is a sliding window over buf: the live events are
+// buf[head:], never more than replicaBuffer of them, and buf never
+// grows past 2×replicaBuffer. Trimming only advances head; when an
+// append finds buf full, the live window (at most half of it) is copied
+// back to the front. So a full tail absorbs each batch without
+// allocating, and each event is copied O(1) times on average.
 type replica struct {
 	docID   string
-	events  []room.Event
+	buf     []room.Event
+	head    int
 	seq     uint64 // log high-water (includes event-free seq advances)
-	trimmed uint64 // highest sequence dropped from events
+	trimmed uint64 // highest sequence dropped from the tail
 }
+
+// events returns the live tail (aliases buf; the caller must not keep it
+// across a later apply).
+func (r *replica) events() []room.Event { return r.buf[r.head:] }
 
 // apply folds one replication request in. Events merge by sequence
 // (snapshot retransmits overlap incremental batches), the high-waters
 // only move forward, and the buffer cap trims from the front.
 func (r *replica) apply(req *proto.ReplicateReq) {
 	var last uint64
-	if len(r.events) > 0 {
-		last = r.events[len(r.events)-1].Seq
+	if len(r.buf) > r.head {
+		last = r.buf[len(r.buf)-1].Seq
 	}
-	for _, ev := range req.Events {
-		if ev.Seq > last {
-			r.events = append(r.events, ev)
+	for i := range req.Events {
+		if ev := &req.Events[i]; ev.Seq > last {
+			r.push(ev)
 			last = ev.Seq
 		}
 	}
@@ -334,18 +346,36 @@ func (r *replica) apply(req *proto.ReplicateReq) {
 	if req.Trimmed > r.trimmed {
 		r.trimmed = req.Trimmed
 	}
-	drop := 0
-	for drop < len(r.events) && r.events[drop].Seq <= r.trimmed {
-		drop++
+	for r.head < len(r.buf) && r.buf[r.head].Seq <= r.trimmed {
+		r.head++
 	}
-	if over := len(r.events) - drop - replicaBuffer; over > 0 {
-		drop += over
-	}
-	if drop > 0 {
-		if cut := r.events[drop-1].Seq; cut > r.trimmed {
-			r.trimmed = cut
+}
+
+// push appends one event to the tail, dropping the oldest live event
+// (and raising trimmed to it) once the tail holds replicaBuffer.
+func (r *replica) push(ev *room.Event) {
+	if len(r.buf) == cap(r.buf) {
+		live := r.buf[r.head:]
+		if r.head > 0 && r.head >= len(live) {
+			// At least half of buf is dead prefix: slide the window
+			// down in place and clear the vacated slots.
+			n := copy(r.buf, live)
+			clear(r.buf[n:])
+			r.buf = r.buf[:n]
+		} else {
+			// Still filling: grow toward the 2×replicaBuffer ceiling.
+			grown := make([]room.Event, len(live), min(max(2*len(live), 16), 2*replicaBuffer))
+			copy(grown, live)
+			r.buf = grown
 		}
-		r.events = append([]room.Event(nil), r.events[drop:]...)
+		r.head = 0
+	}
+	r.buf = append(r.buf, *ev)
+	if len(r.buf)-r.head > replicaBuffer {
+		if s := r.buf[r.head].Seq; s > r.trimmed {
+			r.trimmed = s
+		}
+		r.head++
 	}
 }
 
@@ -358,16 +388,21 @@ func (n *Node) handleReplicate(ctx context.Context, p *wire.Peer, req *proto.Rep
 	if snap, ok := n.srv.SnapshotRoom(req.Room); ok && req.Seq > snap.Seq {
 		n.evictRoom(req.Room, "newer replicated log")
 	}
+	return &proto.ReplicateResp{Seq: n.foldReplica(req)}, nil
+}
+
+// foldReplica applies req to the room's replica, creating it on first
+// contact, and returns the replica's log high-water.
+func (n *Node) foldReplica(req *proto.ReplicateReq) uint64 {
 	n.replMu.Lock()
+	defer n.replMu.Unlock()
 	r := n.replicas[req.Room]
 	if r == nil {
 		r = &replica{docID: req.DocID}
 		n.replicas[req.Room] = r
 	}
 	r.apply(req)
-	seq := r.seq
-	n.replMu.Unlock()
-	return &proto.ReplicateResp{Seq: seq}, nil
+	return r.seq
 }
 
 // repEvent is one tap observation in flight to the replication loop.
@@ -381,11 +416,14 @@ type repEvent struct {
 type repState struct {
 	standby string // node the log last streamed to
 	dirty   bool   // lost updates or failed send: re-snapshot
-	// dataStandby/dataFP are the dataset-sync cursor: the node the
-	// room's media manifest last shipped to and the fingerprint of what
-	// it saw. Matching both skips the resend entirely (sync.go).
+	// dataStandby/dataFP/dataGen are the dataset-sync cursor: the node
+	// the room's media manifest last shipped to, the fingerprint of what
+	// it saw, and the store write generation that export started from.
+	// A matching standby and generation skips the export; a matching
+	// standby and fingerprint skips the send (sync.go).
 	dataStandby string
 	dataFP      [32]byte
+	dataGen     uint64
 }
 
 // roomTap observes every local room event-log advance (called under the

@@ -87,6 +87,10 @@ type Metrics struct {
 	// its CAS lacked them. An unchanged resend moves none of the three.
 	ManifestSyncs                                           int64
 	SyncRowsAdopted, SyncChunksPulled, SyncChunkBytesPulled int64
+	// DatasetExports counts dataset exports the owner ran to build a
+	// manifest frame; flushes with no store write since the last sync
+	// to the same standby skip the export and do not count.
+	DatasetExports int64
 }
 
 // Node is one cluster member: an interaction server plus the routing
@@ -131,7 +135,7 @@ type Node struct {
 	unavailable, replicated           atomic.Int64
 	evictions, manifestSyncs          atomic.Int64
 	syncRowsAdopted, syncChunksPulled atomic.Int64
-	syncChunkBytes                    atomic.Int64
+	syncChunkBytes, datasetExports    atomic.Int64
 }
 
 // peerState is this node's view of one configured peer.
@@ -227,6 +231,7 @@ func (n *Node) Metrics() Metrics {
 		SyncRowsAdopted:      n.syncRowsAdopted.Load(),
 		SyncChunksPulled:     n.syncChunksPulled.Load(),
 		SyncChunkBytesPulled: n.syncChunkBytes.Load(),
+		DatasetExports:       n.datasetExports.Load(),
 	}
 }
 
@@ -572,13 +577,14 @@ func (n *Node) roomSeed(roomName string) (server.RoomSnapshot, bool) {
 		return server.RoomSnapshot{}, false
 	}
 	// The live room becomes the authority; the replica entry would only
-	// go stale under it.
+	// go stale under it. Deleting it also hands the tail's backing array
+	// over: no later apply can write into the returned events.
 	delete(n.replicas, roomName)
 	return server.RoomSnapshot{
 		Room:    roomName,
 		DocID:   r.docID,
 		Seq:     r.seq,
 		Trimmed: r.trimmed,
-		Events:  r.events,
+		Events:  r.events(),
 	}, true
 }

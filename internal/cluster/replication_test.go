@@ -231,3 +231,111 @@ func TestReplicationFailoverServesFromEmptyNode(t *testing.T) {
 		t.Errorf("promoted node served %d bytes differing from the owner's image", len(got))
 	}
 }
+
+// settledExports waits until the owner has synced the room's dataset
+// and its replication loop has gone quiet (the standby's log caught up
+// with the owner's), then returns the owner's metrics.
+func settledExports(t *testing.T, h *Harness, owner *HarnessNode, roomName string, minSyncs int64) Metrics {
+	t.Helper()
+	waitMetric(t, owner, "dataset sync", func(m Metrics) bool { return m.ManifestSyncs >= minSyncs })
+	h.waitReplicated(t, roomName, h.ownerSeq(t, roomName))
+	return owner.Node.Metrics()
+}
+
+// chatsReplicated sends n chats and waits until the standby's log holds
+// them: each one went through a replication flush.
+func chatsReplicated(t *testing.T, h *Harness, s *client.Session, roomName string, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		mustChat(t, s, fmt.Sprintf("note %d", i))
+		h.waitReplicated(t, roomName, h.ownerSeq(t, roomName))
+	}
+}
+
+// TestReplicationDatasetGateSkipsUnchangedExports: flushes that follow
+// no store write skip the dataset export entirely; one write on the
+// owner costs exactly one re-export, after which the standby serves the
+// new row; ForceResync still re-sends.
+func TestReplicationDatasetGateSkipsUnchangedExports(t *testing.T) {
+	h := newReplHarness(t, 2)
+	owner, standby := h.ByID("n1"), h.ByID("n2")
+	roomName := h.roomPlacedOn("n1", "n2", "gate")
+
+	alice := clusterClient(t, h, "alice")
+	sa, _, err := alice.Join(roomName, "p1", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustChat(t, sa, "hello")
+	base := settledExports(t, h, owner, roomName, 1)
+
+	// Idle flushes: the log streams, the dataset is not re-read.
+	chatsReplicated(t, h, sa, roomName, 8)
+	if m := owner.Node.Metrics(); m.DatasetExports != base.DatasetExports || m.ManifestSyncs != base.ManifestSyncs {
+		t.Fatalf("8 write-free flushes ran %d exports and %d syncs, want 0 and 0",
+			m.DatasetExports-base.DatasetExports, m.ManifestSyncs-base.ManifestSyncs)
+	}
+
+	// One store write on the owner: exactly one re-export and send.
+	const texts = "revised reading: no lesion"
+	if err := owner.media.UpdateImageTexts(h.Record.CTID, texts); err != nil {
+		t.Fatal(err)
+	}
+	chatsReplicated(t, h, sa, roomName, 4)
+	m := owner.Node.Metrics()
+	if m.DatasetExports != base.DatasetExports+1 || m.ManifestSyncs != base.ManifestSyncs+1 {
+		t.Fatalf("one write then 4 flushes ran %d exports and %d syncs, want 1 and 1",
+			m.DatasetExports-base.DatasetExports, m.ManifestSyncs-base.ManifestSyncs)
+	}
+	img, err := standby.media.GetImage(h.Record.CTID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if img.Texts != texts {
+		t.Errorf("standby serves texts %q, want %q", img.Texts, texts)
+	}
+
+	// ForceResync bypasses both gates.
+	owner.Node.ForceResync()
+	mustChat(t, sa, "after resync")
+	waitMetric(t, owner, "forced re-send", func(m2 Metrics) bool {
+		return m2.ManifestSyncs > m.ManifestSyncs && m2.DatasetExports > m.DatasetExports
+	})
+}
+
+// TestReplicationDatasetGateResendsOnStandbyChange: the generation gate
+// is per standby — a sync aimed at a different node exports and sends
+// even though nothing was written, and so does the switch back.
+func TestReplicationDatasetGateResendsOnStandbyChange(t *testing.T) {
+	h := newReplHarness(t, 3, "n3")
+	owner, other := h.ByID("n1"), h.ByID("n3")
+	roomName := h.roomPlacedOn("n1", "n2", "gate")
+
+	alice := clusterClient(t, h, "alice")
+	sa, _, err := alice.Join(roomName, "p1", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustChat(t, sa, "hello")
+	base := settledExports(t, h, owner, roomName, 1)
+
+	// Aim the dataset at n3 (as a placement change would), with no
+	// store write and no dirty mark.
+	owner.Node.syncDataset(roomName, "p1", other.ID, false)
+	m := owner.Node.Metrics()
+	if m.DatasetExports != base.DatasetExports+1 || m.ManifestSyncs != base.ManifestSyncs+1 {
+		t.Fatalf("standby change ran %d exports and %d syncs, want 1 and 1",
+			m.DatasetExports-base.DatasetExports, m.ManifestSyncs-base.ManifestSyncs)
+	}
+	if om := other.Node.Metrics(); om.SyncRowsAdopted == 0 {
+		t.Errorf("new standby adopted no rows: %+v", om)
+	}
+	// The next flush targets n2 again: a standby change back. The
+	// export follows the log send, so wait for the sync to land.
+	mustChat(t, sa, "back")
+	waitMetric(t, owner, "re-send to n2", func(m2 Metrics) bool { return m2.ManifestSyncs > m.ManifestSyncs })
+	if m2 := owner.Node.Metrics(); m2.DatasetExports != m.DatasetExports+1 || m2.ManifestSyncs != m.ManifestSyncs+1 {
+		t.Fatalf("switch back ran %d exports and %d syncs, want 1 and 1",
+			m2.DatasetExports-m.DatasetExports, m2.ManifestSyncs-m.ManifestSyncs)
+	}
+}

@@ -30,10 +30,33 @@ const fetchChunkBatch = 256
 // (or when force re-sends after a dirty/standby-change full sync). The
 // frame carries rows and manifests only — never payload bytes — so an
 // unchanged-room resend costs one manifest-sized frame and zero chunks.
+//
+// Two gates keep the unchanged case cheap. The first is the store's
+// write generation: it is read before the export, and recorded only
+// once the standby holds what that export saw (the send succeeded or
+// the fingerprint already matched). If no table changed since, the
+// export could only reproduce the same frame, so it is skipped outright
+// — no document read, no decode, no hash. A write racing the export
+// bumps the generation past the recorded one, so the next flush
+// re-exports. The SHA-256 fingerprint of the frame is the second gate,
+// for writes that left this room's dataset as it was.
 func (n *Node) syncDataset(roomName, docID, standby string, force bool) {
 	if docID == "" || n.db == nil {
 		return
 	}
+	gen := n.db.DB().Generation()
+	n.repMu.Lock()
+	st := n.rep[roomName]
+	if st == nil {
+		st = &repState{}
+		n.rep[roomName] = st
+	}
+	if !force && st.dataStandby == standby && st.dataGen == gen {
+		n.repMu.Unlock()
+		return
+	}
+	n.repMu.Unlock()
+	n.datasetExports.Add(1)
 	ds, err := n.db.ExportDataset(docID)
 	if err != nil {
 		n.logf("cluster %s: export dataset for room %q: %v", n.id, roomName, err)
@@ -46,12 +69,8 @@ func (n *Node) syncDataset(roomName, docID, standby string, force bool) {
 	}
 	fp := sha256.Sum256(wire.MarshalBody(req))
 	n.repMu.Lock()
-	st := n.rep[roomName]
-	if st == nil {
-		st = &repState{}
-		n.rep[roomName] = st
-	}
 	if !force && st.dataStandby == standby && st.dataFP == fp {
+		st.dataGen = gen
 		n.repMu.Unlock()
 		return
 	}
@@ -65,6 +84,7 @@ func (n *Node) syncDataset(roomName, docID, standby string, force bool) {
 	n.repMu.Lock()
 	st.dataStandby = standby
 	st.dataFP = fp
+	st.dataGen = gen
 	n.repMu.Unlock()
 }
 

@@ -186,6 +186,16 @@ func (e *Engine) Operation(viewer, component, op, activeWhen string, private boo
 	return e.doc.ApplyOperation(component, op, activeWhen)
 }
 
+// AddComponent grows the shared document online by one primitive
+// component (document.AddComponent) under the engine lock, so the
+// network mutation cannot race readers that hold only this lock — the
+// QoS loop's PrefetchRank among them.
+func (e *Engine) AddComponent(parent string, c *document.Component, netParents, defaultOrder []string) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.doc.AddComponent(parent, c, netParents, defaultOrder)
+}
+
 // ViewFor computes the current optimal view for one viewer: the shared
 // completion under all accumulated choices, extended by the viewer's
 // private overlay.

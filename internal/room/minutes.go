@@ -104,7 +104,8 @@ func (r *Room) AddMinutesComponent(actor, transcript string) (string, error) {
 			{Name: "hidden", Kind: document.KindHidden},
 		},
 	}
-	if err := doc.AddComponent(doc.Root.Name, comp, nil, []string{"text", "hidden"}); err != nil {
+	// Through the engine: its lock is what PrefetchRank reads under.
+	if err := r.engine.AddComponent(doc.Root.Name, comp, nil, []string{"text", "hidden"}); err != nil {
 		return "", err
 	}
 	r.bumpDocLocked() // the document grew a component: drop the cached snapshot

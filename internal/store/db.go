@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"mmconf/internal/blob"
 )
@@ -51,6 +52,11 @@ type DB struct {
 	// migratedBlobs counts payloads moved out of a pre-CAS heap.blob by
 	// this Open.
 	migratedBlobs int
+	// gen is the write generation: logAndApply bumps it once per applied
+	// record, so two equal readings bracket a span in which no table
+	// changed. Readers of derived state (the cluster's dataset export)
+	// compare it instead of re-reading rows.
+	gen atomic.Uint64
 
 	// relMu guards pendingRel: blob releases queued until the WAL
 	// records that justify them (row deletes/updates) are fsynced.
@@ -198,7 +204,19 @@ func (db *DB) logAndApply(rec walRecord) error {
 	if err := db.wal.append(rec); err != nil {
 		return err
 	}
-	return db.apply(rec)
+	// Bump even if apply fails: validation passed, so a failure here is
+	// an internal fault that may have left the state half-changed.
+	err := db.apply(rec)
+	db.gen.Add(1)
+	return err
+}
+
+// Generation returns the write generation: a counter that every
+// committed table mutation (insert, update, delete, create/drop table,
+// create index) advances. An unchanged reading means no row changed in
+// between; reads, blob puts and rejected writes leave it alone.
+func (db *DB) Generation() uint64 {
+	return db.gen.Load()
 }
 
 // validateLocked checks that apply(rec) will succeed against the current

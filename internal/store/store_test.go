@@ -560,3 +560,89 @@ func TestCompactBlobsReclaimsGarbage(t *testing.T) {
 		t.Fatalf("post-compaction put: %q %v", got, err)
 	}
 }
+
+// TestGenerationCountsCommittedWrites: the write generation advances
+// once per committed table mutation and never on reads, blob puts or
+// writes that validation rejects.
+func TestGenerationCountsCommittedWrites(t *testing.T) {
+	db, _ := openTestDB(t, Options{Sync: SyncNever})
+	gen := db.Generation()
+	step := func(what string, want uint64) {
+		t.Helper()
+		if got := db.Generation(); got != gen+want {
+			t.Fatalf("%s: generation %d, want %d", what, got, gen+want)
+		}
+		gen = db.Generation()
+	}
+	tbl, err := db.CreateTable("IMAGE_OBJECTS_TABLE", imageSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step("create table", 1)
+	h, err := db.PutBlob([]byte("jpeg-bytes"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	step("blob put", 0)
+	id, err := tbl.Insert(Row{int64(90), "ct axial", 2.5, []byte{1}, h})
+	if err != nil {
+		t.Fatal(err)
+	}
+	step("insert", 1)
+	if err := tbl.Update(id, Row{int64(80), "ct axial, revised", 2.5, []byte{1}, h}); err != nil {
+		t.Fatal(err)
+	}
+	step("update", 1)
+	if err := tbl.CreateIndex("FLD_TEXTS"); err != nil {
+		t.Fatal(err)
+	}
+	step("create index", 1)
+
+	// Reads.
+	if _, _, err := tbl.Get(id); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tbl.LookupString("FLD_TEXTS", "ct axial, revised"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tbl.Len(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Scan(func(uint64, Row) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.GetBlob(h); err != nil {
+		t.Fatal(err)
+	}
+	step("reads", 0)
+
+	// Writes validation rejects never reach the WAL or the generation.
+	if _, err := tbl.Insert(Row{"not an int", "x", 1.0, []byte{1}, h}); err == nil {
+		t.Fatal("ill-typed insert accepted")
+	}
+	if err := tbl.InsertWithID(id, Row{int64(1), "dup", 1.0, []byte{1}, h}); err == nil {
+		t.Fatal("duplicate-id insert accepted")
+	}
+	if err := tbl.Update(id+100, Row{int64(1), "x", 1.0, []byte{1}, h}); err == nil {
+		t.Fatal("update of a missing row accepted")
+	}
+	if err := tbl.Delete(id + 100); err == nil {
+		t.Fatal("delete of a missing row accepted")
+	}
+	if err := tbl.CreateIndex("NO_SUCH_COLUMN"); err == nil {
+		t.Fatal("index on a missing column accepted")
+	}
+	if _, err := db.CreateTable("IMAGE_OBJECTS_TABLE", imageSchema); err == nil {
+		t.Fatal("duplicate table accepted")
+	}
+	step("rejected writes", 0)
+
+	if err := tbl.Delete(id); err != nil {
+		t.Fatal(err)
+	}
+	step("delete", 1)
+	if err := db.DropTable("IMAGE_OBJECTS_TABLE"); err != nil {
+		t.Fatal(err)
+	}
+	step("drop table", 1)
+}
